@@ -40,15 +40,23 @@ type Config struct {
 	// delivering it (applied after the drop/corrupt/truncate draws).
 	UDPDelay time.Duration
 
-	// TCPDialErrRate fails a Dial with ECONNREFUSED before any traffic.
+	// The TCP stream faults are drawn once per exchange — one request
+	// and its response — so a connection kept alive across many
+	// exchanges sees them as often as one dialled per exchange would.
+	// A conn's first exchange draws when DialTimeout or WrapConn
+	// returns it; every later one draws when Reuse starts it.
+
+	// TCPDialErrRate fails an exchange with ECONNREFUSED before any
+	// traffic: a Dial fails outright, and a Reuse of a dialled conn fails
+	// as a dial would have.
 	TCPDialErrRate float64
-	// TCPResetRate aborts a wrapped stream mid-transfer: the draw happens
-	// per Read/Write, and once it fires every later operation on that
-	// conn fails with ECONNRESET.
+	// TCPResetRate aborts an exchange: once it fires, the exchange's next
+	// Read or Write and every later operation on that conn fail with
+	// ECONNRESET.
 	TCPResetRate float64
-	// TCPStallRate freezes a wrapped stream: the draw happens once per
-	// conn at creation, and a stalled conn's Reads block until the read
-	// deadline expires (or the conn is closed), then fail with a timeout.
+	// TCPStallRate freezes an exchange: a stalled conn's Reads block until
+	// the read deadline expires (or the conn is closed), then fail with a
+	// timeout.
 	TCPStallRate float64
 	// TCPByteDelay slows a stream by sleeping this long before every
 	// Read — a crude bandwidth throttle.
@@ -151,29 +159,74 @@ func (in *Injector) FlipBits(data []byte, n int) []byte {
 }
 
 // DialTimeout dials like net.DialTimeout but may fail the dial outright
-// (TCPDialErrRate) and wraps the resulting conn with the TCP stream faults.
+// (TCPDialErrRate) and wraps the resulting conn with the TCP stream faults,
+// drawn for its first exchange.
 func (in *Injector) DialTimeout(network, addr string, timeout time.Duration) (net.Conn, error) {
-	if in.draw(in.cfg.TCPDialErrRate) {
-		in.count(func(s *Stats) { s.DialErrors++ })
-		return nil, &net.OpError{Op: "dial", Net: network, Err: syscall.ECONNREFUSED}
+	if err := in.dialErr(network); err != nil {
+		return nil, err
 	}
-	conn, err := net.DialTimeout(network, addr, timeout)
+	c, err := net.DialTimeout(network, addr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	return in.WrapConn(conn), nil
+	fc := &conn{Conn: c, in: in, dialed: true}
+	in.arm(fc)
+	return fc, nil
 }
 
-// WrapConn applies the TCP stream faults to c. The stall draw happens here,
-// once per conn.
+// WrapConn applies the TCP stream faults to c, drawn for its first
+// exchange.
 func (in *Injector) WrapConn(c net.Conn) net.Conn {
 	fc := &conn{Conn: c, in: in}
+	in.arm(fc)
+	return fc
+}
+
+// Reuse starts another exchange on c, a conn returned by DialTimeout,
+// WrapConn or a WrapListener listener, and draws that exchange's TCP
+// faults. On a dialled conn it may fail the exchange with ECONNREFUSED,
+// the dial error of a conn reused instead of dialled; the caller then
+// closes c, as a refused dial leaves no conn. Conns the injector did not
+// wrap, and every conn of a nil Injector, are left alone.
+func (in *Injector) Reuse(c net.Conn) error {
+	fc, ok := c.(*conn)
+	if in == nil || !ok {
+		return nil
+	}
+	if fc.dialed {
+		if err := in.dialErr(c.RemoteAddr().Network()); err != nil {
+			return err
+		}
+	}
+	in.arm(fc)
+	return nil
+}
+
+// dialErr draws the dial-error fault.
+func (in *Injector) dialErr(network string) error {
+	if !in.draw(in.cfg.TCPDialErrRate) {
+		return nil
+	}
+	in.count(func(s *Stats) { s.DialErrors++ })
+	return &net.OpError{Op: "dial", Net: network, Err: syscall.ECONNREFUSED}
+}
+
+// arm draws the stall and reset faults for c's next exchange.
+func (in *Injector) arm(c *conn) {
 	if in.draw(in.cfg.TCPStallRate) {
 		in.count(func(s *Stats) { s.Stalls++ })
-		fc.stalled = true
-		fc.unblock = make(chan struct{})
+		c.mu.Lock()
+		c.stalled = true
+		if c.unblock == nil {
+			c.unblock = make(chan struct{})
+		}
+		c.mu.Unlock()
 	}
-	return fc
+	if in.draw(in.cfg.TCPResetRate) {
+		c.mu.Lock()
+		c.resetArmed = true
+		c.mu.Unlock()
+	}
 }
 
 // WrapListener wraps every conn accepted by l with the TCP stream faults,
@@ -203,9 +256,11 @@ func (l *listener) Accept() (net.Conn, error) {
 // conn is a net.Conn with reset, stall, and throttle faults.
 type conn struct {
 	net.Conn
-	in *Injector
+	in     *Injector
+	dialed bool // made by DialTimeout; Reuse draws dial errors for it
 
 	mu           sync.Mutex
+	resetArmed   bool // the current exchange resets at its next operation
 	reset        bool
 	stalled      bool
 	unblock      chan struct{} // closed on Close when stalled
@@ -217,12 +272,12 @@ var errReset = &net.OpError{Op: "read", Err: syscall.ECONNRESET}
 func (c *conn) maybeReset() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.reset {
-		return errReset
-	}
-	if c.in.draw(c.in.cfg.TCPResetRate) {
+	if c.resetArmed {
+		c.resetArmed = false
 		c.reset = true
 		c.in.count(func(s *Stats) { s.Resets++ })
+	}
+	if c.reset {
 		return errReset
 	}
 	return nil

@@ -228,3 +228,62 @@ func TestParseSpec(t *testing.T) {
 		t.Fatalf("empty spec: cfg=%+v err=%v", cfg, err)
 	}
 }
+
+// TestReuseRedrawsExchangeFaults: a kept-alive conn draws the TCP faults
+// again for every exchange Reuse starts on it.
+func TestReuseRedrawsExchangeFaults(t *testing.T) {
+	in := mustInjector(t, Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	dialed, err := in.DialTimeout("tcp", ln.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dialed.Close()
+	accepted, _ := tcpPair(t, in)
+
+	in.cfg.TCPDialErrRate = 1
+	if err := in.Reuse(dialed); err == nil {
+		t.Fatal("reuse of a dialled conn survived dial-err rate 1")
+	}
+	if err := in.Reuse(accepted); err != nil {
+		t.Fatalf("reuse of a wrapped (accepted) conn failed as a dial: %v", err)
+	}
+	if s := in.Stats(); s.DialErrors != 1 {
+		t.Fatalf("dial errors = %d, want 1", s.DialErrors)
+	}
+
+	in.cfg.TCPDialErrRate, in.cfg.TCPResetRate = 0, 1
+	if _, err := accepted.Write([]byte("x")); err != nil {
+		t.Fatalf("exchange drawn before the reset rate rose was reset: %v", err)
+	}
+	if err := in.Reuse(accepted); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := accepted.Write([]byte("x")); err == nil {
+		t.Fatal("write survived a reset drawn for the reused exchange")
+	}
+	if s := in.Stats(); s.Resets != 1 {
+		t.Fatalf("resets = %d, want 1", s.Resets)
+	}
+
+	in.cfg.TCPResetRate, in.cfg.TCPStallRate = 0, 1
+	if err := in.Reuse(dialed); err != nil {
+		t.Fatal(err)
+	}
+	_ = dialed.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if _, err := dialed.Read(make([]byte, 1)); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("stalled reused exchange read = %v, want deadline exceeded", err)
+	}
+	if s := in.Stats(); s.Stalls != 1 {
+		t.Fatalf("stalls = %d, want 1", s.Stalls)
+	}
+
+	var none *Injector
+	if err := none.Reuse(dialed); err != nil {
+		t.Fatalf("nil injector reuse = %v", err)
+	}
+}

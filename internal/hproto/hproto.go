@@ -1,10 +1,27 @@
 // Package hproto implements the inter-proxy document transfer protocol of
-// the paper: an HTTP/1.0-style request/response exchange in which each side
+// the paper: an HTTP-style request/response exchange in which each side
 // piggybacks its cache expiration age on the message it was already sending
 // ("the only extra information that is communicated among proxies is the
 // Cache Expiration Age ... piggybacked on either a HTTP request message or
 // a HTTP response message", §3.4). No extra connections and no extra round
 // trips are introduced — exactly the paper's zero-overhead claim.
+//
+// Connections are persistent: a requester sends one request, reads the
+// whole response, and may then send the next request on the same
+// connection, like HTTP/1.1 keep-alive without pipelining. Either side
+// may close a connection between exchanges; a requester must be ready to
+// find a kept connection closed and redial. Every message is framed, so
+// the end of each exchange is known without closing the connection:
+//
+//   - a head ends at its blank line;
+//   - a response body is exactly Content-Length bytes (0 when absent);
+//   - a push (PUT) request body is exactly X-Size-Hint bytes, and GET
+//     requests carry no body.
+//
+// A reader that stops short of a message's framed end — a truncated body,
+// a parse error — must close the connection, since its position in the
+// stream is lost. ReadRequest and ReadResponse read only the head; the
+// caller reads the body.
 //
 // Wire format (CRLF line endings, ASCII):
 //

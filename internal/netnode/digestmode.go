@@ -1,7 +1,6 @@
 package netnode
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -311,30 +310,14 @@ func (n *Node) fetchDigest(addr string) (*digest.Filter, error) {
 }
 
 // fetchDigestBody performs the digest GET and returns the response body.
-// The socket deadline deliberately uses the real clock (Config.Now is
-// the cache-visible clock; see the Config.Now contract).
 func (n *Node) fetchDigestBody(addr, url string) ([]byte, error) {
-	conn, err := n.dial(addr)
-	if err != nil {
-		return nil, fmt.Errorf("dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(n.fetchTimeout))
-
-	if err := hproto.WriteRequest(conn, hproto.Request{URL: url}); err != nil {
-		return nil, err
-	}
-	br := bufio.NewReader(conn)
-	resp, err := hproto.ReadResponse(br)
+	var body bytes.Buffer
+	resp, err := n.exchange(addr, hproto.Request{URL: url}, &body)
 	if err != nil {
 		return nil, err
 	}
 	if resp.Status != hproto.StatusOK {
 		return nil, fmt.Errorf("digest fetch from %s: status %d", addr, resp.Status)
-	}
-	var body bytes.Buffer
-	if _, err := io.CopyN(&body, br, resp.ContentLength); err != nil {
-		return nil, fmt.Errorf("read digest body: %w", err)
 	}
 	return body.Bytes(), nil
 }
@@ -393,11 +376,11 @@ func (n *Node) digestLoop() {
 // serveDigestRequest answers a digest fetch. The bare reserved URL
 // serves the legacy unversioned filter; "eac:digest?since=G" serves the
 // versioned sync envelope — a compact delta when the change log covers
-// the requester's generation, a full transfer otherwise.
-func (n *Node) serveDigestRequest(conn io.Writer, url string) {
+// the requester's generation, a full transfer otherwise. It returns the
+// error of the response write.
+func (n *Node) serveDigestRequest(conn io.Writer, url string) error {
 	if n.digests == nil {
-		_ = hproto.WriteResponse(conn, hproto.Response{Status: hproto.StatusNotFound}, nil)
-		return
+		return hproto.WriteResponse(conn, hproto.Response{Status: hproto.StatusNotFound}, nil)
 	}
 	n.maybeRebuildOwn()
 
@@ -420,8 +403,7 @@ func (n *Node) serveDigestRequest(conn io.Writer, url string) {
 	n.digestMu.Unlock()
 	if err != nil {
 		n.warn("marshal digest failed", nil, "err", err)
-		_ = hproto.WriteResponse(conn, hproto.Response{Status: hproto.StatusNotFound}, nil)
-		return
+		return hproto.WriteResponse(conn, hproto.Response{Status: hproto.StatusNotFound}, nil)
 	}
 	if delta {
 		n.dg.DeltaServed(len(data))
@@ -435,7 +417,9 @@ func (n *Node) serveDigestRequest(conn io.Writer, url string) {
 		ContentLength: int64(len(data)),
 	}, bytes.NewReader(data)); err != nil {
 		n.warn("write digest failed", nil, "err", err)
+		return err
 	}
+	return nil
 }
 
 // isDigestURL reports whether url addresses the reserved digest

@@ -250,10 +250,12 @@ func TestUpstreamAcquireTimesOutWhenSaturated(t *testing.T) {
 }
 
 // TestChaosHerd expires a hot document and unleashes 64 concurrent
-// requesters on it while origin dials fail randomly. Invariants: no lost
-// responses (every requester gets a result or an error), and exactly one
-// origin dial per leader epoch — elections must equal completed origin
-// fetches plus injected dial failures. Run under -race.
+// requesters on it while origin dials fail randomly. The dial-error fault
+// is drawn once per exchange, so it also fails exchanges on pooled
+// keep-alive conns. Invariants: no lost responses (every requester gets a
+// result or an error), at least one injected fault during the herd, and
+// exactly one origin dial per leader epoch — elections must equal
+// completed origin fetches plus injected dial failures. Run under -race.
 func TestChaosHerd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos test")
@@ -320,6 +322,12 @@ func TestChaosHerd(t *testing.T) {
 	}
 	if served.Load() == 0 {
 		t.Fatal("every requester failed; with a 0.4 dial-error rate and retry epochs some must get through")
+	}
+
+	// The injector must reach the herd's exchanges, including those on
+	// pooled keep-alive conns; a herd that saw no fault proves nothing.
+	if injector.Stats().DialErrors == baseDialErrs {
+		t.Fatal("no transport fault injected during the herd: the fault injector does not reach the fetch path")
 	}
 
 	// Exactly one origin dial per leader epoch: each election made one

@@ -45,8 +45,9 @@ func ringName(p Peer) string {
 
 // publishLocked pushes the current membership out to everything the
 // request path reads: breaker bookkeeping, peer gauges, the immutable
-// peer snapshot, and (under hash location) a rebuilt ring stamped with
-// the bumped epoch, which also kicks the migrator. Callers hold n.mem.
+// peer snapshot, the fetch-conn pool, and (under hash location) a
+// rebuilt ring stamped with the bumped epoch, which also kicks the
+// migrator. Callers hold n.mem.
 func (n *Node) publishLocked() {
 	members := n.mem.members
 	// The breaker keeps state for ejected members too — recovery is
@@ -68,10 +69,27 @@ func (n *Node) publishLocked() {
 		}
 	}
 	snapshot := append([]Peer(nil), active...)
-	n.peers.Store(&snapshot)
-	epoch := n.epoch.Add(1)
+	// Peers leaving the locator set (removed or ejected) take their idle
+	// fetch conns with them.
+	inSet := make(map[string]bool, len(snapshot))
+	for _, p := range snapshot {
+		inSet[p.HTTP] = true
+	}
+	for _, p := range n.peerList() {
+		if !inSet[p.HTTP] {
+			n.pool.flush(p.HTTP)
+		}
+	}
+	// The ring goes out before the peer snapshot and the epoch, so a
+	// reader that sees the new peer set or epoch also sees the new ring.
+	// Callers hold n.mem, so the epoch has no other writer.
+	epoch := n.epoch.Load() + 1
 	if n.location == resolve.LocateHash {
 		n.rebuildHashRing(snapshot, epoch)
+	}
+	n.peers.Store(&snapshot)
+	n.epoch.Store(epoch)
+	if n.location == resolve.LocateHash {
 		n.kickMigration()
 	}
 }

@@ -244,13 +244,12 @@ func TestMigrationOnJoin(t *testing.T) {
 		}
 	}
 	// Accounting: every scanned document in exactly one bucket, and the
-	// senders' transfers cover the joiner's share.
+	// senders' transfers cover the joiner's share. A sender's last push
+	// lands before its pass records its report, so wait for each pass
+	// of the current epoch to finish before reading it.
 	transferred := 0
 	for _, n := range nodes {
-		rep, ok := n.LastMigration()
-		if !ok {
-			t.Fatalf("%s never ran a migration pass", n.ID())
-		}
+		rep := waitSettled(t, n, "the join")
 		if got := rep.Kept + rep.Transferred + rep.SkippedEA + rep.Refused + rep.Failed; got != rep.Scanned {
 			t.Fatalf("%s accounting leak: %+v", n.ID(), rep)
 		}

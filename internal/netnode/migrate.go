@@ -375,27 +375,12 @@ func (n *Node) migrateDoc(url string, dest func(string) (string, bool), ages *de
 // streaming the (synthetic) body, and returns whether the destination
 // stored it plus the destination's piggybacked expiration age.
 func (n *Node) pushCopy(addr string, doc cache.Document) (stored bool, destAge time.Duration, err error) {
-	conn, err := n.dial(addr)
-	if err != nil {
-		return false, 0, err
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(n.fetchTimeout))
-
-	if err := hproto.WriteRequest(conn, hproto.Request{
+	resp, err := n.exchange(addr, hproto.Request{
 		URL:          doc.URL,
 		RequesterAge: n.store.ExpirationAge(n.now()),
 		SizeHint:     doc.Size,
 		Push:         true,
-	}); err != nil {
-		return false, 0, err
-	}
-	if _, err := io.Copy(conn, zeroReader(doc.Size)); err != nil {
-		return false, 0, err
-	}
-	br := getReader(conn)
-	defer putReader(br)
-	resp, err := hproto.ReadResponse(br)
+	}, nil)
 	if err != nil {
 		return false, 0, err
 	}
@@ -410,12 +395,13 @@ func (n *Node) pushCopy(addr string, doc cache.Document) (stored bool, destAge t
 // offered body (the exchange must stay in sync whatever we decide), then
 // store iff mayAcceptPush allows it. 200 means stored; 404 means
 // declined; either way this node's expiration age rides back for the
-// sender's EA gate.
-func (n *Node) servePush(conn io.Writer, br io.Reader, req hproto.Request) {
+// sender's EA gate. It reports whether the conn is still in step for
+// another request.
+func (n *Node) servePush(conn io.Writer, br io.Reader, req hproto.Request) bool {
 	if req.SizeHint > 0 {
 		if _, err := io.CopyN(io.Discard, br, req.SizeHint); err != nil {
 			n.warn("push body truncated", nil, "url", req.URL, "err", err)
-			return
+			return false
 		}
 	}
 	stored := n.mayAcceptPush(req.URL) && n.putIfFits(cache.Document{URL: req.URL, Size: req.SizeHint})
@@ -429,7 +415,9 @@ func (n *Node) servePush(conn io.Writer, br io.Reader, req hproto.Request) {
 		ResponderAge: n.store.ExpirationAge(n.now()),
 	}, nil); err != nil {
 		n.warn("write push response failed", nil, "err", err)
+		return false
 	}
+	return true
 }
 
 // mayAcceptPush reports whether this node may store a pushed copy of

@@ -353,6 +353,10 @@ type Node struct {
 	icpServer *icp.Server
 	icpClient *icp.Client
 	httpLn    net.Listener
+	// pool holds idle outbound fetch conns; served tracks the accepted
+	// ones (transport.go).
+	pool   *connPool
+	served servedConns
 
 	wg        sync.WaitGroup
 	closed    chan struct{}
@@ -549,6 +553,7 @@ func New(cfg Config) (*Node, error) {
 		migrateConc:   cfg.MigrateConcurrency,
 		migrateRate:   cfg.MigrateRate,
 		icpClient:     icp.NewClient(),
+		pool:          newConnPool(cfg.FetchTimeout / 2),
 		closed:        make(chan struct{}),
 	}
 	n.mem.ejected = make(map[string]*ejection)
@@ -569,6 +574,7 @@ func New(cfg Config) (*Node, error) {
 		switch {
 		case to == health.Dead:
 			n.robust.BreakerOpen()
+			n.pool.flush(peer)
 		case from == health.Dead:
 			n.robust.BreakerClose()
 		}
@@ -582,7 +588,7 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Faults != nil {
 		// Chaos mode: every socket the node opens goes through the
 		// injector — the shared ICP query socket here (bound once, on
-		// the first query), fetch dials in Node.dial, and accepted
+		// the first query), fetch dials in Node.dialConn, and accepted
 		// fetch conns below.
 		n.icpClient.Listen = func() (net.PacketConn, error) {
 			c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -821,8 +827,9 @@ func (n *Node) Robustness() metrics.RobustnessSnapshot { return n.robust.Snapsho
 // peer's fetch (HTTP) address.
 func (n *Node) PeerHealth() []health.PeerStatus { return n.health.Snapshot() }
 
-// Close stops both servers, waits for in-flight handlers, checkpoints
-// persistent state, and releases the data directory. It is idempotent and
+// Close stops both servers, closes idle fetch conns (pooled and served)
+// at once, waits for in-flight handlers, checkpoints persistent state,
+// and releases the data directory. It is idempotent and
 // safe to call concurrently — with other Close/Drain calls and with an
 // in-flight Request, which at worst fails with a connection error.
 func (n *Node) Close() error { return n.shutdown(0) }
@@ -841,6 +848,8 @@ func (n *Node) shutdown(wait time.Duration) error {
 		close(n.closed)
 		icpErr := n.icpServer.Close()
 		lnErr := n.httpLn.Close()
+		n.served.closeIdle()
+		n.pool.close()
 
 		done := make(chan struct{})
 		go func() {
@@ -1157,43 +1166,42 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// serveConn is the responder side of the inter-proxy fetch: serve the
+// serveConn serves hproto requests on one accepted conn until the
+// requester closes it, it idles for FetchTimeout, or the node shuts down.
+func (n *Node) serveConn(conn net.Conn) {
+	n.served.serve(conn, n.fetchTimeout, n.faults, func(br *bufio.Reader) bool {
+		req, err := hproto.ReadRequest(br)
+		if err != nil {
+			n.warn("bad fetch request", nil, "err", err)
+			return false
+		}
+		return n.serveExchange(conn, br, req)
+	})
+}
+
+// serveExchange is the responder side of the inter-proxy fetch: serve the
 // document with this node's expiration age piggybacked on the response,
 // applying the responder-side placement rule against the age piggybacked
 // on the request. A request flagged Resolve makes this node act as a
 // hierarchical parent: on a local miss it fetches the document from its
 // own upstream, keeps a copy only if the §3.3 parent rule says so, and
-// reports whether the body came from a cache or the origin.
-func (n *Node) serveConn(conn net.Conn) {
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(n.fetchTimeout))
-
-	br := getReader(conn)
-	req, err := hproto.ReadRequest(br)
-	if err != nil {
-		putReader(br)
-		n.warn("bad fetch request", nil, "err", err)
-		return
-	}
+// reports whether the body came from a cache or the origin. It reports
+// whether the conn is still in step for another request.
+func (n *Node) serveExchange(conn net.Conn, br *bufio.Reader, req hproto.Request) bool {
 	if req.AgeClamped {
 		n.robust.WireClamp()
 		n.warn("clamped bad requester age", nil, "remote", conn.RemoteAddr().String())
 	}
 	if req.Push {
-		// Migration handoff: the body still sits (partly) in the bufio
-		// reader, so it is drained before the reader is pooled again.
-		n.servePush(conn, br, req)
-		putReader(br)
-		return
+		// Migration handoff: the body follows the head on the conn.
+		return n.servePush(conn, br, req)
 	}
-	putReader(br)
 
 	// The reserved digest URL serves this node's own cache digest —
 	// bare for the legacy full transfer, ?since=<gen> for the versioned
 	// delta sync.
 	if isDigestURL(req.URL) {
-		n.serveDigestRequest(conn, req.URL)
-		return
+		return n.serveDigestRequest(conn, req.URL) == nil
 	}
 
 	// Remote-parented tracing: a sampled requester piggybacks its trace
@@ -1222,6 +1230,7 @@ func (n *Node) serveConn(conn net.Conn) {
 	var (
 		doc cache.Document
 		ok  bool
+		err error
 	)
 	if n.location == resolve.LocateHash {
 		// Hash routing: this node is the URL's home and owns the
@@ -1281,6 +1290,7 @@ func (n *Node) serveConn(conn net.Conn) {
 		rtr.ResponderAgeMS = obs.AgeMS(respAge)
 		n.obs.Finish(rtr)
 	}
+	return err == nil
 }
 
 // Responder-side trace outcomes (requester-side ones come from
@@ -1385,31 +1395,16 @@ func (n *Node) warn(msg string, tr *obs.Trace, attrs ...any) {
 // against the peer's health.
 var errNotFound = errors.New("netnode: document not at responder")
 
-// dial opens the TCP conn for one fetch, through the fault injector when
-// one is configured.
-func (n *Node) dial(addr string) (net.Conn, error) {
-	if n.faults != nil {
-		return n.faults.DialTimeout("tcp", addr, n.dialTimeout)
-	}
-	return net.DialTimeout("tcp", addr, n.dialTimeout)
-}
-
-// fetchFrom performs one hproto GET against addr, discarding the body and
-// returning its length, the piggybacked responder age, and the body's
-// source (cache or origin; an absent header means cache). A non-OK status
+// fetchFrom performs one hproto GET against addr (see exchange),
+// discarding the body and returning its length, the piggybacked
+// responder age, and the body's source (cache or origin; an absent
+// header means cache). A non-OK status
 // maps to errNotFound; a body shorter than advertised maps to
 // hproto.ErrTruncatedBody. A sampled trace's context rides the request
 // (X-Trace-Context) so the responder records a remote-parented leg of
 // the same trace, and the responder's echoed record is annotated back
 // onto tr.
 func (n *Node) fetchFrom(tr *obs.Trace, addr, url string, sizeHint int64, requesterAge time.Duration, rslv bool) (int64, time.Duration, string, error) {
-	conn, err := n.dial(addr)
-	if err != nil {
-		return 0, 0, "", fmt.Errorf("dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(n.fetchTimeout))
-
 	req := hproto.Request{
 		URL:          url,
 		RequesterAge: requesterAge,
@@ -1427,12 +1422,7 @@ func (n *Node) fetchFrom(tr *obs.Trace, addr, url string, sizeHint int64, reques
 			req.RingFP = h.Fingerprint
 		}
 	}
-	if err := hproto.WriteRequest(conn, req); err != nil {
-		return 0, 0, "", err
-	}
-	br := getReader(conn)
-	defer putReader(br)
-	resp, err := hproto.ReadResponse(br)
+	resp, err := n.exchange(addr, req, nil)
 	if err != nil {
 		return 0, 0, "", err
 	}
@@ -1452,9 +1442,6 @@ func (n *Node) fetchFrom(tr *obs.Trace, addr, url string, sizeHint int64, reques
 	if resp.Status != hproto.StatusOK {
 		return 0, resp.ResponderAge, "", fmt.Errorf("fetch %s from %s: status %d: %w", url, addr, resp.Status, errNotFound)
 	}
-	if _, err := io.CopyN(io.Discard, br, resp.ContentLength); err != nil {
-		return 0, resp.ResponderAge, "", fmt.Errorf("read body from %s: %w: %v", addr, hproto.ErrTruncatedBody, err)
-	}
 	source := resp.Source
 	if source == "" {
 		source = hproto.SourceCache
@@ -1462,8 +1449,8 @@ func (n *Node) fetchFrom(tr *obs.Trace, addr, url string, sizeHint int64, reques
 	return resp.ContentLength, resp.ResponderAge, source, nil
 }
 
-// Serve-path pools. Every accepted fetch conn needs a bufio.Reader for
-// the request line and a scratch buffer for the body; both are recycled
+// Transport pools. Every fetch conn, outbound or accepted, needs a
+// bufio.Reader, and every body write a scratch buffer; both are recycled
 // across connections so steady-state remote-hit serving allocates
 // nothing per request.
 var (
@@ -1546,6 +1533,7 @@ type OriginServer struct {
 	logger *slog.Logger
 	wg     sync.WaitGroup
 	closed chan struct{}
+	served servedConns
 
 	mu      sync.Mutex
 	fetches int64
@@ -1574,7 +1562,8 @@ func (o *OriginServer) Fetches() int64 {
 	return o.fetches
 }
 
-// Close stops the origin.
+// Close stops the origin: idle conns close at once, in-flight exchanges
+// finish.
 func (o *OriginServer) Close() error {
 	select {
 	case <-o.closed:
@@ -1583,6 +1572,7 @@ func (o *OriginServer) Close() error {
 	}
 	close(o.closed)
 	err := o.ln.Close()
+	o.served.closeIdle()
 	o.wg.Wait()
 	return err
 }
@@ -1610,26 +1600,28 @@ func (o *OriginServer) acceptLoop() {
 	}
 }
 
+// originTimeout is how long the origin keeps an idle conn open, and its
+// per-request budget.
+const originTimeout = 5 * time.Second
+
 func (o *OriginServer) serveConn(conn net.Conn) {
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	br := getReader(conn)
-	req, err := hproto.ReadRequest(br)
-	putReader(br)
-	if err != nil {
-		return
-	}
-	size := req.SizeHint
-	if size <= 0 {
-		size = 4096
-	}
-	o.mu.Lock()
-	o.fetches++
-	o.mu.Unlock()
-	_ = hproto.WriteResponse(conn, hproto.Response{
-		Status:        hproto.StatusOK,
-		ResponderAge:  cache.NoContention, // origins have no cache contention
-		ContentLength: size,
-		Source:        hproto.SourceOrigin,
-	}, zeroReader(size))
+	o.served.serve(conn, originTimeout, nil, func(br *bufio.Reader) bool {
+		req, err := hproto.ReadRequest(br)
+		if err != nil {
+			return false
+		}
+		size := req.SizeHint
+		if size <= 0 {
+			size = 4096
+		}
+		o.mu.Lock()
+		o.fetches++
+		o.mu.Unlock()
+		return hproto.WriteResponse(conn, hproto.Response{
+			Status:        hproto.StatusOK,
+			ResponderAge:  cache.NoContention, // origins have no cache contention
+			ContentLength: size,
+			Source:        hproto.SourceOrigin,
+		}, zeroReader(size)) == nil
+	})
 }

@@ -119,6 +119,8 @@ type nodeObs struct {
 	leaderInitial      *obs.Counter   // eac_coalesce_leader_elections_total{kind="initial"}
 	leaderRetry        *obs.Counter   // eac_coalesce_leader_elections_total{kind="retry"}
 	sheds              *obs.Counter   // eac_requests_shed_total
+	fetchDials         *obs.Counter   // eac_fetch_dials_total
+	fetchReuses        *obs.Counter   // eac_fetch_reuses_total
 	upstreamWaits      *obs.Counter   // eac_origin_sem_waits_total
 	upstreamWaitDur    *obs.Histogram // eac_origin_sem_wait_seconds
 
@@ -223,6 +225,10 @@ func newNodeObs(n *Node, tel *obs.Telemetry) *nodeObs {
 		obs.Labels{"kind": "retry"})
 	o.sheds = r.Counter("eac_requests_shed_total",
 		"Requests refused at the front door because the in-flight bound and queue-wait budget were exceeded.", nil)
+	o.fetchDials = r.Counter("eac_fetch_dials_total",
+		"TCP connections dialled for outbound fetches (peers, parent, origin).", nil)
+	o.fetchReuses = r.Counter("eac_fetch_reuses_total",
+		"Outbound fetch exchanges started on a pooled keep-alive connection.", nil)
 	o.upstreamWaits = r.Counter("eac_origin_sem_waits_total",
 		"Upstream fetches that found the origin-concurrency semaphore full and queued.", nil)
 	o.upstreamWaitDur = r.Histogram("eac_origin_sem_wait_seconds",
@@ -566,6 +572,22 @@ func (o *nodeObs) shed() {
 		return
 	}
 	o.sheds.Inc()
+}
+
+// fetchDial counts one outbound fetch conn dialled.
+func (o *nodeObs) fetchDial() {
+	if o == nil {
+		return
+	}
+	o.fetchDials.Inc()
+}
+
+// fetchReuse counts one outbound exchange started on a pooled conn.
+func (o *nodeObs) fetchReuse() {
+	if o == nil {
+		return
+	}
+	o.fetchReuses.Inc()
 }
 
 // observeUpstreamWait records one contended origin-semaphore acquire.

@@ -270,6 +270,7 @@ func Generate(cfg GenConfig) ([]Record, error) {
 		rng:       rng,
 		zipf:      zipf,
 		catalog:   catalog,
+		urls:      make([]string, cfg.UniqueDocs),
 		histories: histories,
 		think:     think,
 		inlineGap: inlineGap,
@@ -326,6 +327,9 @@ type generator struct {
 	histories []*history
 	think     *dist.Exponential
 	inlineGap *dist.Exponential
+	// urls interns each document's URL on first use, so every record
+	// of a document shares one string.
+	urls []string
 }
 
 // step is one position of a cohort's shared page stream.
@@ -357,6 +361,7 @@ func (g *generator) masterStream(n int) []step {
 // of the shared master stream with individual timing.
 func (g *generator) emitSession(records []Record, user int, start time.Time, n int, master []step) []Record {
 	h := g.histories[user]
+	client := fmt.Sprintf("u%04d", user) // one string per session, shared by its records
 	t := start
 	inlineLeft := 0
 	for i := 0; i < n; i++ {
@@ -385,12 +390,20 @@ func (g *generator) emitSession(records []Record, user int, start time.Time, n i
 		}
 		records = append(records, Record{
 			Time:   t,
-			Client: fmt.Sprintf("u%04d", user),
-			URL:    docURL(docID),
+			Client: client,
+			URL:    g.url(docID),
 			Size:   size,
 		})
 	}
 	return records
+}
+
+// url returns document id's interned URL.
+func (g *generator) url(id int) string {
+	if g.urls[id] == "" {
+		g.urls[id] = docURL(id)
+	}
+	return g.urls[id]
 }
 
 // buildCatalog draws a size for every document. Document IDs are already in
