@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test test-short test-race parity chaos churn-smoke disk-smoke bench bench-json load-json load-smoke obs-smoke digest-smoke fuzz
+.PHONY: check fmt build vet test test-short test-race parity chaos churn-smoke disk-smoke bench bench-json load-json load-smoke obs-smoke digest-smoke fuzz loc
 
 check: fmt vet build test-race
 
@@ -101,11 +101,12 @@ load-smoke:
 # cross-node trace stitching (one remote hit -> one trace ID on both the
 # requester and the responder), and the replication-factor audit — under
 # consistent-hash location the factor computed from /admin/resident must
-# stay <= 1.0. Also re-runs the loadgen -obs path so the slow-trace
-# artifact plumbing stays honest.
+# stay <= 1.0. Checks that every Node.Robustness/DigestStats field equals
+# its /metrics series. Also re-runs the loadgen -obs path so the
+# slow-trace artifact plumbing stays honest.
 obs-smoke:
 	$(GO) test -race -v -run 'TestEacctlAgainstLiveGroup|TestHashGroupReplicationBound' ./cmd/eacctl/
-	$(GO) test -race -v -run 'TestCrossPeerTracePropagation|TestMalformedTraceContextNeverFatal' ./internal/netnode/
+	$(GO) test -race -v -run 'TestCrossPeerTracePropagation|TestMalformedTraceContextNeverFatal|TestCountersMatchScrape' ./internal/netnode/
 	$(GO) test -race -v -run 'TestLoadgenObsRecordsSlowTraces' ./cmd/loadgen/
 
 # Digest-location gate: a live 3-node -locate=digest group under
@@ -130,3 +131,9 @@ fuzz:
 	$(GO) test -fuzz FuzzReadRequest -fuzztime $(FUZZTIME) ./internal/hproto/
 	$(GO) test -fuzz FuzzReadResponse -fuzztime $(FUZZTIME) ./internal/hproto/
 	$(GO) test -fuzz FuzzDecodeSync -fuzztime $(FUZZTIME) ./internal/digest/
+
+# Code size: non-test Go lines outside perfbench/ (the number ROADMAP.md
+# tracks; it should go down).
+loc:
+	@find . -path './.*' -prune -o -path ./perfbench -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l

@@ -561,13 +561,6 @@ func publishPeerVars(n *netnode.Node) {
 				"members":  n.Members(),
 			}
 		}))
-		expvar.Publish("eacache_robustness", expvar.Func(func() any {
-			n := peerVarsNode.Load()
-			if n == nil {
-				return nil
-			}
-			return n.Robustness()
-		}))
 	})
 }
 

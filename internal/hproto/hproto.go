@@ -139,7 +139,7 @@ type Request struct {
 	RingFP uint64
 	// AgeClamped reports that the wire carried a negative or overflowing
 	// expiration age and RequesterAge is the clamped substitute — a
-	// misbehaving peer, worth counting (metrics.Robustness) but not worth
+	// misbehaving peer, worth counting (Node.Robustness) but not worth
 	// failing the exchange over.
 	AgeClamped bool
 	// Trace is the opaque distributed-tracing context (TraceHeader), empty

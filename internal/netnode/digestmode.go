@@ -130,8 +130,7 @@ func (n *Node) maybeRebuildOwn() {
 	n.digestMu.Lock()
 	if n.digests.own.NeedsRebuild() {
 		n.digests.own.Rebuild(urls)
-		n.dg.RebuildEscape()
-		n.om.digestRebuildEscape()
+		n.ctr.digestRebuilds.Inc()
 	}
 	n.digestMu.Unlock()
 	n.warn("digest rebuild escape hatch taken", nil, "urls", len(urls))
@@ -187,8 +186,7 @@ func (n *Node) peerDigest(p Peer) *digest.Filter {
 		n.startDigestFlightLocked(p, pd)
 		f := pd.filter
 		n.digestMu.Unlock()
-		n.dg.StaleServed()
-		n.om.digestStaleServed()
+		n.ctr.digestStale.Inc()
 		return f
 	}
 	// First contact: join the single flight.
@@ -228,7 +226,7 @@ func (n *Node) digestFlight(p Peer, pd *peerDigest) {
 	}
 	n.digestMu.Unlock()
 
-	n.dg.Fetch()
+	n.ctr.digestFetches.Inc()
 	f, gen, applied, err := n.fetchDigestSince(p.HTTP, since, base)
 
 	n.digestMu.Lock()
@@ -246,19 +244,13 @@ func (n *Node) digestFlight(p Peer, pd *peerDigest) {
 	close(done)
 
 	if err != nil {
-		n.dg.FetchFailure()
-		n.om.digestFetchFailure()
+		n.ctr.digestFetchErr.Inc()
 		n.warn("digest fetch failed", nil, "peer", p.HTTP, "err", err)
 		n.health.ReportFailure(p.HTTP)
-		n.robust.PeerFailure()
+		n.ctr.peerFailures.Inc()
 		return
 	}
-	if applied == digestSyncDelta {
-		n.dg.DeltaApplied()
-	} else {
-		n.dg.FullApplied()
-	}
-	n.om.digestApplied(applied)
+	n.ctr.digestApplied[applied].Inc()
 	n.health.ReportSuccess(p.HTTP)
 }
 
@@ -386,17 +378,17 @@ func (n *Node) serveDigestRequest(conn io.Writer, url string) error {
 
 	since, versioned := parseDigestSince(url)
 	var (
-		data  []byte
-		err   error
-		delta bool
+		data []byte
+		err  error
 	)
+	kind := digestSyncFull
 	n.digestMu.Lock()
 	own := n.digests.own
 	if !versioned {
 		data, err = own.Filter().MarshalBinary()
 	} else if d, ok := own.Delta(since); ok {
 		data, err = d.MarshalBinary()
-		delta = true
+		kind = digestSyncDelta
 	} else {
 		data, err = digest.EncodeFull(own.Filter(), own.Generation())
 	}
@@ -405,13 +397,8 @@ func (n *Node) serveDigestRequest(conn io.Writer, url string) error {
 		n.warn("marshal digest failed", nil, "err", err)
 		return hproto.WriteResponse(conn, hproto.Response{Status: hproto.StatusNotFound}, nil)
 	}
-	if delta {
-		n.dg.DeltaServed(len(data))
-		n.om.digestServed(digestSyncDelta, len(data))
-	} else {
-		n.dg.FullServed(len(data))
-		n.om.digestServed(digestSyncFull, len(data))
-	}
+	n.ctr.digestServed[kind].Inc()
+	n.ctr.digestBytes[kind].Add(int64(len(data)))
 	if err := hproto.WriteResponse(conn, hproto.Response{
 		Status:        hproto.StatusOK,
 		ContentLength: int64(len(data)),
@@ -478,7 +465,7 @@ type DigestReport struct {
 // DigestReport snapshots the digest machinery (zero-valued when the node
 // does not locate via digests).
 func (n *Node) DigestReport() DigestReport {
-	rep := DigestReport{Stats: n.dg.Snapshot()}
+	rep := DigestReport{Stats: n.DigestStats()}
 	if n.digests == nil {
 		return rep
 	}
@@ -508,6 +495,3 @@ func (n *Node) DigestReport() DigestReport {
 	}
 	return rep
 }
-
-// DigestStats exposes the digest traffic counters.
-func (n *Node) DigestStats() metrics.DigestSnapshot { return n.dg.Snapshot() }

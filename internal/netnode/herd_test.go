@@ -18,6 +18,7 @@ import (
 	"eacache/internal/core"
 	"eacache/internal/faults"
 	"eacache/internal/hproto"
+	"eacache/internal/obs"
 )
 
 // gatedOrigin is an hproto origin whose responses block on gate, so a
@@ -230,13 +231,15 @@ func TestUpstreamConcurrencyBounded(t *testing.T) {
 
 // TestUpstreamAcquireTimesOutWhenSaturated: an upstream fetch that cannot
 // get a semaphore slot within the fetch budget fails instead of parking
-// its goroutine forever.
+// its goroutine forever. The timed-out wait still counts, on /metrics too.
 func TestUpstreamAcquireTimesOutWhenSaturated(t *testing.T) {
+	tel := obs.New("saturated", 64)
 	n := startChaosNode(t, Config{
 		ID:                "saturated",
 		OriginAddr:        deadTCPAddr(t),
 		OriginConcurrency: 1,
 		FetchTimeout:      30 * time.Millisecond,
+		Obs:               tel,
 	})
 	n.originSem <- struct{}{} // steal the only slot
 	defer func() { <-n.originSem }()
@@ -246,6 +249,9 @@ func TestUpstreamAcquireTimesOutWhenSaturated(t *testing.T) {
 	}
 	if rb := n.Robustness(); rb.OriginWaits != 1 {
 		t.Fatalf("origin waits = %d, want 1", rb.OriginWaits)
+	}
+	if got := scrapeCounters(t, tel.Registry)["eac_origin_sem_waits_total"]; got != 1 {
+		t.Fatalf("eac_origin_sem_waits_total = %d, want 1", got)
 	}
 }
 

@@ -306,8 +306,7 @@ func (n *Node) sweepMembership(now time.Time) {
 		st := n.health.Status(p.HTTP)
 		if st.State == health.Dead && !st.Since.IsZero() && now.Sub(st.Since) >= n.ejectAfter {
 			n.mem.ejected[p.HTTP] = &ejection{since: now, nextProbe: now.Add(n.readmitProbe)}
-			n.robust.Ejection()
-			n.om.membershipEvent(memEjection)
+			n.ctr.memEvents[memEjection].Inc()
 			n.warn("peer ejected after grace window", nil,
 				"peer", p.HTTP, "dead_for", now.Sub(st.Since), "grace", n.ejectAfter)
 			changed = true
@@ -354,7 +353,6 @@ func (n *Node) readmit(p Peer) {
 
 // noteReadmission records one readmission; callers hold n.mem.
 func (n *Node) noteReadmission(p Peer, how string) {
-	n.robust.Readmission()
-	n.om.membershipEvent(memReadmission)
+	n.ctr.memEvents[memReadmission].Inc()
 	n.warn("peer readmitted", nil, "peer", p.HTTP, "via", how)
 }

@@ -272,7 +272,8 @@ func (n *Node) migrate(reason string, epoch int64, dest func(string) (string, bo
 		stop atomic.Bool
 	)
 	tally := func(res int, bytes int64) {
-		n.om.migration(res, bytes)
+		n.ctr.migrations[res].Inc()
+		n.ctr.migrBytes.Add(bytes)
 		mu.Lock()
 		rep.Scanned++
 		switch res {
@@ -351,14 +352,12 @@ func (n *Node) migrateDoc(url string, dest func(string) (string, bool), ages *de
 		case <-pace:
 		case <-n.closed:
 			stop.Store(true)
-			n.robust.MigrationFailure()
 			return mrFailed, 0
 		}
 	}
 	stored, destAge, err := n.pushCopy(addr, entry.Doc)
 	if err != nil {
 		n.health.ReportFailure(addr)
-		n.robust.MigrationFailure()
 		n.warn("migration push failed", nil, "url", url, "dest", addr, "err", err)
 		return mrFailed, 0
 	}
@@ -367,7 +366,6 @@ func (n *Node) migrateDoc(url string, dest func(string) (string, bool), ages *de
 	if !stored {
 		return mrRefused, 0
 	}
-	n.robust.Migrated(entry.Doc.Size)
 	return mrTransferred, entry.Doc.Size
 }
 
@@ -385,7 +383,7 @@ func (n *Node) pushCopy(addr string, doc cache.Document) (stored bool, destAge t
 		return false, 0, err
 	}
 	if resp.AgeClamped {
-		n.robust.WireClamp()
+		n.ctr.wireClamps.Inc()
 		n.warn("clamped bad push-response age", nil, "responder", addr)
 	}
 	return resp.Status == hproto.StatusOK, resp.ResponderAge, nil

@@ -297,8 +297,7 @@ type Node struct {
 	engine        *resolve.Engine
 	digests       *digestState
 	health        *health.Tracker
-	robust        metrics.Robustness
-	dg            metrics.Digest
+	ctr           nodeCounters
 	faults        *faults.Injector
 	obs           *obs.Telemetry
 	om            *nodeObs
@@ -565,6 +564,11 @@ func New(cfg Config) (*Node, error) {
 	}
 	n.obs = cfg.Obs
 	n.om = newNodeObs(n, cfg.Obs)
+	reg := obs.NewRegistry()
+	if cfg.Obs != nil {
+		reg = cfg.Obs.Registry
+	}
+	n.ctr = newNodeCounters(reg)
 
 	// The breaker feeds the robustness counters; a user callback (tests)
 	// is chained after them.
@@ -573,10 +577,10 @@ func New(cfg Config) (*Node, error) {
 	healthCfg.OnStateChange = func(peer string, from, to health.State) {
 		switch {
 		case to == health.Dead:
-			n.robust.BreakerOpen()
+			n.ctr.breakerOpens.Inc()
 			n.pool.flush(peer)
 		case from == health.Dead:
-			n.robust.BreakerClose()
+			n.ctr.breakerCloses.Inc()
 		}
 		n.warn("peer breaker state change", nil, "peer", peer, "from", from, "to", to)
 		if userStateChange != nil {
@@ -706,18 +710,15 @@ func New(cfg Config) (*Node, error) {
 	// resolve.go. A broken parent degrades to the origin when one is
 	// known — the live node's availability posture. Concurrent misses for
 	// one URL are coalesced single-flight; the callbacks feed the
-	// robustness counters and telemetry.
+	// node's counters.
 	co := resolve.NewCoalescer()
-	co.OnFollower = func(string) {
-		n.robust.Coalesced()
-		n.om.coalesced()
-	}
+	co.OnFollower = func(string) { n.ctr.coalescedFollowers.Inc() }
 	co.OnElect = func(_ string, retry bool) {
-		n.robust.LeaderElection()
 		if retry {
-			n.robust.LeaderRetry()
+			n.ctr.leaderRetry.Inc()
+		} else {
+			n.ctr.leaderInitial.Inc()
 		}
-		n.om.leaderElection(retry)
 	}
 	n.engine = &resolve.Engine{
 		ID:              "netnode " + n.id,
@@ -818,10 +819,6 @@ func (n *Node) peerList() []Peer {
 	}
 	return nil
 }
-
-// Robustness returns the node's degradation counters: peer failures,
-// retries, fallbacks to parent/origin, and breaker transitions.
-func (n *Node) Robustness() metrics.RobustnessSnapshot { return n.robust.Snapshot() }
 
 // PeerHealth returns the breaker state of every tracked peer, keyed by the
 // peer's fetch (HTTP) address.
@@ -1031,8 +1028,7 @@ func (n *Node) admit() error {
 	case n.inflight <- struct{}{}:
 		return nil
 	case <-timer.C:
-		n.robust.Shed()
-		n.om.shed()
+		n.ctr.sheds.Inc()
 		return fmt.Errorf("%w (%d in flight, waited %v)", ErrOverloaded, cap(n.inflight), n.shedWait)
 	}
 }
@@ -1048,7 +1044,7 @@ func (n *Node) acquireUpstream(tr *obs.Trace) error {
 		return nil
 	default:
 	}
-	n.robust.OriginWait()
+	n.ctr.upstreamWaits.Inc()
 	start := time.Now()
 	timer := time.NewTimer(n.fetchTimeout)
 	defer timer.Stop()
@@ -1086,7 +1082,7 @@ func (n *Node) recordFanout(active []Peer, res icp.Result) {
 		if p, ok := byICP[a.String()]; ok {
 			heard[p.HTTP] = true
 			n.health.ReportFailure(p.HTTP)
-			n.robust.PeerFailure()
+			n.ctr.peerFailures.Inc()
 		}
 	}
 	silent := 0
@@ -1095,7 +1091,7 @@ func (n *Node) recordFanout(active []Peer, res icp.Result) {
 			if !heard[p.HTTP] {
 				silent++
 				n.health.ReportFailure(p.HTTP)
-				n.robust.PeerFailure()
+				n.ctr.peerFailures.Inc()
 			}
 		}
 	}
@@ -1114,7 +1110,7 @@ func (n *Node) fetchUpstream(tr *obs.Trace, addr, url string, sizeHint int64, re
 	var lastErr error
 	for attempt := 0; attempt < n.fetchAttempts; attempt++ {
 		if attempt > 0 {
-			n.robust.Retry()
+			n.ctr.retries.Inc()
 		}
 		size, age, source, err := n.fetchFrom(tr, addr, url, sizeHint, reqAge, resolve)
 		if err == nil {
@@ -1189,7 +1185,7 @@ func (n *Node) serveConn(conn net.Conn) {
 // whether the conn is still in step for another request.
 func (n *Node) serveExchange(conn net.Conn, br *bufio.Reader, req hproto.Request) bool {
 	if req.AgeClamped {
-		n.robust.WireClamp()
+		n.ctr.wireClamps.Inc()
 		n.warn("clamped bad requester age", nil, "remote", conn.RemoteAddr().String())
 	}
 	if req.Push {
@@ -1215,10 +1211,10 @@ func (n *Node) serveExchange(conn net.Conn, br *bufio.Reader, req hproto.Request
 		tc, perr := obs.ParseTraceContext(req.Trace)
 		switch {
 		case perr != nil:
-			n.robust.TraceClamp()
+			n.ctr.traceClamps.Inc()
 			n.warn("dropped malformed trace context", nil, "remote", conn.RemoteAddr().String())
 		case tc.Hop >= obs.MaxTraceHops:
-			n.robust.TraceClamp()
+			n.ctr.traceClamps.Inc()
 			n.warn("dropped trace context at hop limit", nil, "trace", tc.TraceID)
 		default:
 			rtr = n.obs.StartRemoteTrace(n.id, req.URL, tc)
@@ -1427,7 +1423,7 @@ func (n *Node) fetchFrom(tr *obs.Trace, addr, url string, sizeHint int64, reques
 		return 0, 0, "", err
 	}
 	if resp.AgeClamped {
-		n.robust.WireClamp()
+		n.ctr.wireClamps.Inc()
 		n.warn("clamped bad responder age", nil, "responder", addr)
 	}
 	if resp.Trace != "" && tr != nil {
@@ -1436,7 +1432,7 @@ func (n *Node) fetchFrom(tr *obs.Trace, addr, url string, sizeHint int64, reques
 			// stitcher draws from this fetch span to the responder's leg.
 			tr.Annotate("remote_id", rc.ParentID)
 		} else {
-			n.robust.TraceClamp()
+			n.ctr.traceClamps.Inc()
 		}
 	}
 	if resp.Status != hproto.StatusOK {

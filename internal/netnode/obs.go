@@ -89,11 +89,13 @@ func decisionOf(store bool) int {
 	return decisionReject
 }
 
-// nodeObs caches the node's instruments in flat arrays so the request
+// nodeObs caches the node's telemetry-only instruments (per-request
+// counters, histograms, scrape-time gauges) in flat arrays so the request
 // path records with array indexes and plain atomic adds — no registry
 // lock, no map hashing. A nil *nodeObs is inert: every method starts with
 // a nil check, so a node built without telemetry pays one pointer test
-// per call site.
+// per call site. The event counters every node keeps, telemetry or not,
+// are in nodeCounters.
 type nodeObs struct {
 	tel *obs.Telemetry
 
@@ -115,39 +117,13 @@ type nodeObs struct {
 	checkpointErr *obs.Counter
 	checkpointDur *obs.Histogram
 
-	coalescedFollowers *obs.Counter   // eac_coalesced_followers_total
-	leaderInitial      *obs.Counter   // eac_coalesce_leader_elections_total{kind="initial"}
-	leaderRetry        *obs.Counter   // eac_coalesce_leader_elections_total{kind="retry"}
-	sheds              *obs.Counter   // eac_requests_shed_total
-	fetchDials         *obs.Counter   // eac_fetch_dials_total
-	fetchReuses        *obs.Counter   // eac_fetch_reuses_total
-	upstreamWaits      *obs.Counter   // eac_origin_sem_waits_total
-	upstreamWaitDur    *obs.Histogram // eac_origin_sem_wait_seconds
+	fetchDials      *obs.Counter   // eac_fetch_dials_total
+	fetchReuses     *obs.Counter   // eac_fetch_reuses_total
+	upstreamWaitDur *obs.Histogram // eac_origin_sem_wait_seconds
 
-	migrations  [mrCount]*obs.Counter  // eac_migration_docs_total{result}
-	migrBytes   *obs.Counter           // eac_migration_bytes_total
-	memEvents   [memCount]*obs.Counter // eac_membership_events_total{event}
-	pushStored  *obs.Counter           // eac_pushes_received_total{decision="stored"}
-	pushRefused *obs.Counter           // eac_pushes_received_total{decision="refused"}
-
-	// Digest maintenance (digestmode.go): transfers indexed by
-	// digestSyncFull/digestSyncDelta.
-	digestServedN  [2]*obs.Counter // eac_digest_transfers_total{kind,dir="served"}
-	digestAppliedN [2]*obs.Counter // eac_digest_transfers_total{kind,dir="applied"}
-	digestBytesN   [2]*obs.Counter // eac_digest_bytes_total{kind}
-	digestRebuilds *obs.Counter    // eac_digest_rebuild_escapes_total
-	digestStale    *obs.Counter    // eac_digest_stale_served_total
-	digestFetchErr *obs.Counter    // eac_digest_fetch_failures_total
+	pushStored  *obs.Counter // eac_pushes_received_total{decision="stored"}
+	pushRefused *obs.Counter // eac_pushes_received_total{decision="refused"}
 }
-
-// Membership event indexes on eac_membership_events_total.
-const (
-	memEjection = iota
-	memReadmission
-	memCount
-)
-
-var memEventNames = [memCount]string{"ejection", "readmission"}
 
 // newNodeObs registers the node's metric families and returns the cached
 // instruments. The gauge funcs close over n and are evaluated at scrape
@@ -215,37 +191,13 @@ func newNodeObs(n *Node, tel *obs.Telemetry) *nodeObs {
 	o.checkpointDur = r.Histogram("eac_checkpoint_duration_seconds",
 		"Checkpoint (capture + rotate + snapshot write) duration.", nil, nil)
 
-	o.coalescedFollowers = r.Counter("eac_coalesced_followers_total",
-		"Requests served as single-flight followers of a concurrent miss for the same URL.", nil)
-	o.leaderInitial = r.Counter("eac_coalesce_leader_elections_total",
-		"Single-flight leader elections, by kind (initial epoch vs post-failure retry).",
-		obs.Labels{"kind": "initial"})
-	o.leaderRetry = r.Counter("eac_coalesce_leader_elections_total",
-		"Single-flight leader elections, by kind (initial epoch vs post-failure retry).",
-		obs.Labels{"kind": "retry"})
-	o.sheds = r.Counter("eac_requests_shed_total",
-		"Requests refused at the front door because the in-flight bound and queue-wait budget were exceeded.", nil)
 	o.fetchDials = r.Counter("eac_fetch_dials_total",
 		"TCP connections dialled for outbound fetches (peers, parent, origin).", nil)
 	o.fetchReuses = r.Counter("eac_fetch_reuses_total",
 		"Outbound fetch exchanges started on a pooled keep-alive connection.", nil)
-	o.upstreamWaits = r.Counter("eac_origin_sem_waits_total",
-		"Upstream fetches that found the origin-concurrency semaphore full and queued.", nil)
 	o.upstreamWaitDur = r.Histogram("eac_origin_sem_wait_seconds",
 		"Time contended upstream fetches waited for an origin-semaphore slot.", nil, nil)
 
-	for idx, res := range migrateResultNames {
-		o.migrations[idx] = r.Counter("eac_migration_docs_total",
-			"Documents processed by migration passes, by per-document result.",
-			obs.Labels{"result": res})
-	}
-	o.migrBytes = r.Counter("eac_migration_bytes_total",
-		"Body bytes transferred by migration handoffs.", nil)
-	for idx, ev := range memEventNames {
-		o.memEvents[idx] = r.Counter("eac_membership_events_total",
-			"Breaker-driven membership changes (grace-window ejections and probe readmissions).",
-			obs.Labels{"event": ev})
-	}
 	o.pushStored = r.Counter("eac_pushes_received_total",
 		"Migration handoffs received, by whether the copy was stored.",
 		obs.Labels{"decision": "stored"})
@@ -253,23 +205,6 @@ func newNodeObs(n *Node, tel *obs.Telemetry) *nodeObs {
 		"Migration handoffs received, by whether the copy was stored.",
 		obs.Labels{"decision": "refused"})
 
-	for idx, kind := range [2]string{digestSyncFull: "full", digestSyncDelta: "delta"} {
-		o.digestServedN[idx] = r.Counter("eac_digest_transfers_total",
-			"Digest transfers, by kind (full filter vs generation delta) and direction.",
-			obs.Labels{"kind": kind, "dir": "served"})
-		o.digestAppliedN[idx] = r.Counter("eac_digest_transfers_total",
-			"Digest transfers, by kind (full filter vs generation delta) and direction.",
-			obs.Labels{"kind": kind, "dir": "applied"})
-		o.digestBytesN[idx] = r.Counter("eac_digest_bytes_total",
-			"Digest body bytes served, by transfer kind.",
-			obs.Labels{"kind": kind})
-	}
-	o.digestRebuilds = r.Counter("eac_digest_rebuild_escapes_total",
-		"Full-URL-scan digest rebuilds via the counter-saturation escape hatch (steady state: 0).", nil)
-	o.digestStale = r.Counter("eac_digest_stale_served_total",
-		"Lookups answered from a stale peer digest while a background refresh was in flight.", nil)
-	o.digestFetchErr = r.Counter("eac_digest_fetch_failures_total",
-		"Peer digest fetches that dialled but failed.", nil)
 	r.GaugeFunc("eac_digest_generation",
 		"Generation of this node's own advertised digest (0 when digests are off).",
 		nil, func() float64 {
@@ -405,25 +340,6 @@ func (o *nodeObs) registerPeerGauges(n *Node, peers []Peer) {
 	}
 }
 
-// migration counts one migrated document's per-document result.
-func (o *nodeObs) migration(result int, bytes int64) {
-	if o == nil {
-		return
-	}
-	o.migrations[result].Inc()
-	if bytes > 0 {
-		o.migrBytes.Add(bytes)
-	}
-}
-
-// membershipEvent counts one ejection or readmission.
-func (o *nodeObs) membershipEvent(ev int) {
-	if o == nil {
-		return
-	}
-	o.memEvents[ev].Inc()
-}
-
 // pushReceived counts one inbound migration handoff.
 func (o *nodeObs) pushReceived(stored bool) {
 	if o == nil {
@@ -503,77 +419,6 @@ func (o *nodeObs) cacheEvent(ev cache.Event) {
 	}
 }
 
-// digestServed counts one digest transfer answered for a peer, by kind
-// (digestSyncFull or digestSyncDelta) and body size.
-func (o *nodeObs) digestServed(kind, bytes int) {
-	if o == nil {
-		return
-	}
-	o.digestServedN[kind].Inc()
-	o.digestBytesN[kind].Add(int64(bytes))
-}
-
-// digestApplied counts one transfer applied to a peer-digest replica.
-func (o *nodeObs) digestApplied(kind int) {
-	if o == nil {
-		return
-	}
-	o.digestAppliedN[kind].Inc()
-}
-
-// digestStaleServed counts one lookup answered from a stale replica
-// while a background refresh ran.
-func (o *nodeObs) digestStaleServed() {
-	if o == nil {
-		return
-	}
-	o.digestStale.Inc()
-}
-
-// digestFetchFailure counts one failed peer digest fetch.
-func (o *nodeObs) digestFetchFailure() {
-	if o == nil {
-		return
-	}
-	o.digestFetchErr.Inc()
-}
-
-// digestRebuildEscape counts one counter-saturation full rebuild.
-func (o *nodeObs) digestRebuildEscape() {
-	if o == nil {
-		return
-	}
-	o.digestRebuilds.Inc()
-}
-
-// coalesced counts one request served as a single-flight follower.
-func (o *nodeObs) coalesced() {
-	if o == nil {
-		return
-	}
-	o.coalescedFollowers.Inc()
-}
-
-// leaderElection counts one single-flight leader election.
-func (o *nodeObs) leaderElection(retry bool) {
-	if o == nil {
-		return
-	}
-	if retry {
-		o.leaderRetry.Inc()
-	} else {
-		o.leaderInitial.Inc()
-	}
-}
-
-// shed counts one request refused at the front door.
-func (o *nodeObs) shed() {
-	if o == nil {
-		return
-	}
-	o.sheds.Inc()
-}
-
 // fetchDial counts one outbound fetch conn dialled.
 func (o *nodeObs) fetchDial() {
 	if o == nil {
@@ -590,12 +435,12 @@ func (o *nodeObs) fetchReuse() {
 	o.fetchReuses.Inc()
 }
 
-// observeUpstreamWait records one contended origin-semaphore acquire.
+// observeUpstreamWait records how long one contended origin-semaphore
+// acquire waited for the slot it got.
 func (o *nodeObs) observeUpstreamWait(dur time.Duration) {
 	if o == nil {
 		return
 	}
-	o.upstreamWaits.Inc()
 	o.upstreamWaitDur.ObserveDuration(dur)
 }
 

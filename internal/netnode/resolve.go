@@ -247,7 +247,7 @@ func (t nodeTransport) FetchRemote(rctx any, c resolve.Candidate, url string, si
 	case err != nil:
 		n.warn("remote fetch failed", tr, "peer", c.ID, "err", err)
 		n.health.ReportFailure(c.ID)
-		n.robust.PeerFailure()
+		n.ctr.peerFailures.Inc()
 		return resolve.Remote{}, resolve.FetchFailed
 	}
 	n.health.ReportSuccess(c.ID)
@@ -307,7 +307,7 @@ var _ resolve.Hooks = nodeHooks{}
 // extra span.
 func (h nodeHooks) OnLocalHit(any, string, time.Time) {}
 
-func (h nodeHooks) OnRetry(any) { h.n.robust.Retry() }
+func (h nodeHooks) OnRetry(any) { h.n.ctr.retries.Inc() }
 
 func (h nodeHooks) OnFalseHit(rctx any, c resolve.Candidate, url string) {
 	if h.n.location == resolve.LocateDigest {
@@ -322,11 +322,11 @@ func (h nodeHooks) OnRemoteHit(rctx any, _ resolve.Candidate, url string, size i
 	h.n.placementSpan(traceOf(rctx), roleRequester, url, size, reqAge, respAge, decisionOf(store))
 }
 
-func (h nodeHooks) OnFallback(any) { h.n.robust.Fallback() }
+func (h nodeHooks) OnFallback(any) { h.n.ctr.fallbacks.Inc() }
 
 func (h nodeHooks) OnParentDegrade(rctx any, url string, err error) {
 	h.n.warn("parent resolve failed, degrading to origin", traceOf(rctx), "url", url, "err", err)
-	h.n.robust.Fallback()
+	h.n.ctr.fallbacks.Inc()
 }
 
 func (h nodeHooks) OnParentFetch(rctx any, _, url string, size int64, reqAge, parentAge time.Duration, _, store, _ bool, _ time.Time) {

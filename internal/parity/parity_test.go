@@ -191,8 +191,9 @@ func TestSimLiveParityICPEA(t *testing.T) {
 	if simT != liveT {
 		t.Errorf("decision divergence over %d requests:\n  sim  %+v\n  live %+v", len(records), simT, liveT)
 	}
-	// Single-flight coalescing is on by default in both stacks; for this
-	// serialized replay it must be a strict no-op — no request may have
+	// Single-flight coalescing is on by default in the live node (the
+	// single-threaded simulator runs without it); for this serialized
+	// replay it must be a strict no-op — no request may have
 	// been served as a follower, shed, or queued behind the origin
 	// semaphore, or the overload layer changed serialized behaviour.
 	for i, nd := range nodes {

@@ -289,11 +289,6 @@ func New(cfg Config) (*Proxy, error) {
 		Locator:   simLocator{p},
 		Transport: simTransport{p},
 		Hooks:     simHooks{p},
-		// The simulator is single-threaded per run, so single-flight
-		// coalescing never fires; it is wired anyway so the sim and live
-		// engines are configured identically and the parity gate covers
-		// the (serialized = no-op) property.
-		Coalescer: resolve.NewCoalescer(),
 		// A parent failure in the simulator is a configuration bug that
 		// must surface, not a condition to degrade around.
 		DegradeToOrigin: false,
