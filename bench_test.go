@@ -2,6 +2,7 @@ package eacache_test
 
 import (
 	"bytes"
+	"sort"
 	"strconv"
 	"testing"
 	"time"
@@ -244,5 +245,35 @@ func BenchmarkTraceGenerate(b *testing.B) {
 		if _, err := trace.Generate(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTraceGenerateFull measures generation of the full paper-scale
+// trace (575,775 records), where putting the ~4,700 sessions in time
+// order is a large share of the cost.
+func BenchmarkTraceGenerateFull(b *testing.B) {
+	cfg := trace.BULike()
+	for i := 0; i < b.N; i++ {
+		if _, err := trace.Generate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSortByTime sorts the full-scale trace regrouped by client:
+// 591 time-ordered runs, one per user, interleaved in time.
+func BenchmarkSortByTime(b *testing.B) {
+	recs, err := trace.Generate(trace.BULike())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Client < recs[j].Client })
+	work := make([]trace.Record, len(recs))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(work, recs)
+		b.StartTimer()
+		trace.SortByTime(work)
 	}
 }

@@ -143,8 +143,8 @@ type Request struct {
 	// failing the exchange over.
 	AgeClamped bool
 	// Trace is the opaque distributed-tracing context (TraceHeader), empty
-	// when the request is untraced. hproto does not interpret it; an
-	// oversized value is dropped on read, not fatal.
+	// when the request is untraced. hproto does not interpret it; a value
+	// that is oversized or holds a space is dropped on read, not fatal.
 	Trace string
 }
 
@@ -234,11 +234,8 @@ func ParseAgeClamped(s string) (age time.Duration, clamped bool, err error) {
 // WriteRequest serialises req. For a Push request the caller must write
 // exactly req.SizeHint body bytes immediately after.
 func WriteRequest(w io.Writer, req Request) error {
-	if strings.ContainsAny(req.URL, " \r\n") || req.URL == "" {
-		return fmt.Errorf("%w: bad URL %q", ErrMalformed, req.URL)
-	}
-	if len(req.URL) > maxURLLen {
-		return ErrTooLong
+	if err := checkURL(req.URL); err != nil {
+		return err
 	}
 	if req.Push && req.Resolve {
 		return fmt.Errorf("%w: push request cannot resolve", ErrMalformed)
@@ -273,21 +270,40 @@ func WriteRequest(w io.Writer, req Request) error {
 	return nil
 }
 
+// checkURL rejects a URL that cannot travel on a request line. Both
+// WriteRequest and ReadRequest apply it, so any request read can be
+// relayed.
+func checkURL(url string) error {
+	if strings.ContainsAny(url, " \r\n") || url == "" {
+		return fmt.Errorf("%w: bad URL %q", ErrMalformed, url)
+	}
+	if len(url) > maxURLLen {
+		return ErrTooLong
+	}
+	return nil
+}
+
 // traceHeaderLine renders the optional trace-context header. The value is
 // opaque but must still be a legal single header value: writing is the one
 // place strictness is cheap and correct (we own the value), reading stays
-// tolerant (the peer's value is dropped when oversized, never fatal).
+// tolerant (the peer's value is dropped when illegal, never fatal).
 func traceHeaderLine(v string) (string, error) {
-	if v == "" {
+	switch {
+	case v == "":
 		return "", nil
-	}
-	if len(v) > maxTraceLen {
+	case len(v) > maxTraceLen:
 		return "", fmt.Errorf("%w: trace context", ErrTooLong)
-	}
-	if strings.ContainsAny(v, " \r\n") {
+	case !legalTrace(v):
 		return "", fmt.Errorf("%w: bad trace context %q", ErrMalformed, v)
 	}
 	return TraceHeader + ": " + v + "\r\n", nil
+}
+
+// legalTrace reports whether v is a trace-context value traceHeaderLine
+// writes. Readers keep only such values and drop the rest, so whatever
+// they accept can be written back.
+func legalTrace(v string) bool {
+	return len(v) <= maxTraceLen && !strings.ContainsAny(v, " \r\n")
 }
 
 // ReadRequest parses one request from r.
@@ -299,6 +315,9 @@ func ReadRequest(r *bufio.Reader) (Request, error) {
 	parts := strings.Split(line, " ")
 	if len(parts) != 3 || (parts[0] != "GET" && parts[0] != "PUT") || parts[2] != ProtoVersion {
 		return Request{}, fmt.Errorf("%w: request line %q", ErrMalformed, line)
+	}
+	if err := checkURL(parts[1]); err != nil {
+		return Request{}, err
 	}
 	req := Request{URL: parts[1], Push: parts[0] == "PUT"}
 	headers, err := readHeaders(r)
@@ -328,7 +347,7 @@ func ReadRequest(r *bufio.Reader) (Request, error) {
 			return Request{}, fmt.Errorf("%w: bad ring fingerprint %q", ErrMalformed, v)
 		}
 	}
-	if v, ok := headers[TraceHeader]; ok && len(v) <= maxTraceLen {
+	if v := headers[TraceHeader]; legalTrace(v) {
 		req.Trace = v
 	}
 	if req.Push && req.Resolve {
@@ -424,21 +443,37 @@ func ReadResponse(r *bufio.Reader) (Response, error) {
 		}
 		resp.Source = v
 	}
-	if v, ok := headers[TraceHeader]; ok && len(v) <= maxTraceLen {
+	if v := headers[TraceHeader]; legalTrace(v) {
 		resp.Trace = v
 	}
 	return resp, nil
 }
 
+// maxLineLen bounds one request, status or header line, terminator
+// included.
+const maxLineLen = maxURLLen + 64
+
+// readLine reads one line and strips its terminator. It stops with
+// ErrTooLong as soon as the line passes maxLineLen, so a peer streaming
+// bytes with no newline costs at most maxLineLen plus one buffer, not
+// everything it sends until the deadline.
 func readLine(r *bufio.Reader) (string, error) {
-	line, err := r.ReadString('\n')
-	if err != nil {
-		return "", fmt.Errorf("hproto: read: %w", err)
+	var long []byte // the line so far, when it spans buffer fills
+	for {
+		frag, err := r.ReadSlice('\n')
+		if len(long)+len(frag) > maxLineLen {
+			return "", ErrTooLong
+		}
+		switch {
+		case err == nil && long == nil:
+			return strings.TrimRight(string(frag), "\r\n"), nil
+		case err == nil:
+			return strings.TrimRight(string(append(long, frag...)), "\r\n"), nil
+		case err != bufio.ErrBufferFull:
+			return "", fmt.Errorf("hproto: read: %w", err)
+		}
+		long = append(long, frag...)
 	}
-	if len(line) > maxURLLen+64 {
-		return "", ErrTooLong
-	}
-	return strings.TrimRight(line, "\r\n"), nil
 }
 
 func readHeaders(r *bufio.Reader) (map[string]string, error) {

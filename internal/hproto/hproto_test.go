@@ -185,6 +185,59 @@ func TestHeaderLimits(t *testing.T) {
 	}
 }
 
+// endlessLine is a peer that streams 'a' forever and never sends a
+// newline; n counts the bytes taken from it.
+type endlessLine struct{ n int }
+
+func (e *endlessLine) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'a'
+	}
+	e.n += len(p)
+	return len(p), nil
+}
+
+func TestReadLineStopsAtLimitWithoutNewline(t *testing.T) {
+	for name, read := range map[string]func(*bufio.Reader) error{
+		"request":  func(r *bufio.Reader) error { _, err := ReadRequest(r); return err },
+		"response": func(r *bufio.Reader) error { _, err := ReadResponse(r); return err },
+	} {
+		src := &endlessLine{}
+		br := bufio.NewReader(src)
+		if err := read(br); !errors.Is(err, ErrTooLong) {
+			t.Fatalf("%s: endless line: err = %v, want ErrTooLong", name, err)
+		}
+		if limit := maxLineLen + br.Size(); src.n > limit {
+			t.Fatalf("%s: consumed %d bytes of an endless line, want <= %d", name, src.n, limit)
+		}
+	}
+}
+
+// TestReadLineLimit checks the limit's edge: a line of exactly
+// maxLineLen bytes, spanning several buffer fills, reads back whole; one
+// byte more is ErrTooLong.
+func TestReadLineLimit(t *testing.T) {
+	body := strings.Repeat("a", maxLineLen-2)
+	got, err := readLine(bufio.NewReader(strings.NewReader(body + "\r\n")))
+	if err != nil || got != body {
+		t.Fatalf("longest line: %d bytes, err %v; want %d bytes", len(got), err, len(body))
+	}
+	if _, err := readLine(bufio.NewReader(strings.NewReader(body + "a\r\n"))); !errors.Is(err, ErrTooLong) {
+		t.Fatalf("line one byte over the limit: err = %v, want ErrTooLong", err)
+	}
+}
+
+// TestReadRequestRejectsURLsWriteRefuses keeps the reader no looser than
+// the writer: a request a node accepts must be one it can relay.
+func TestReadRequestRejectsURLsWriteRefuses(t *testing.T) {
+	for _, url := range []string{"", "has\rreturn", "http://x/" + strings.Repeat("a", maxURLLen)} {
+		in := "GET " + url + " EAC/1.0\r\n\r\n"
+		if _, err := ReadRequest(bufio.NewReader(strings.NewReader(in))); err == nil {
+			t.Fatalf("request line with URL %.40q accepted", url)
+		}
+	}
+}
+
 func TestQuickRequestRoundTrip(t *testing.T) {
 	f := func(ageMillis uint32, sizeHint uint32, pathSeed uint16) bool {
 		req := Request{

@@ -41,3 +41,26 @@ func TestGenerateDigestPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateDigestPinnedFullScale pins Generate(BULike()) at full scale,
+// the exact stream the paper-scale replays and the benchmark consume. The
+// digests were computed with the reflective stable sort SortByTime used
+// before the run merge, so they prove the merge reorders nothing.
+func TestGenerateDigestPinnedFullScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale generation")
+	}
+	for _, tc := range []struct {
+		seed uint64
+		want string
+	}{
+		{1, "6fdd553c60d8a811c74c6446b26ac296272038423aa3f230627ad465505da0ca"},
+		{3, "4efa77affe58ed6cef74d99e135ab5cc0f624e1e3cbad14cef48f3afa4251e49"},
+	} {
+		cfg := BULike()
+		cfg.Seed = tc.seed
+		if got := generateDigest(t, cfg); got != tc.want {
+			t.Errorf("seed %d: Generate digest = %s, want %s", tc.seed, got, tc.want)
+		}
+	}
+}
